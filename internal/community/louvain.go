@@ -156,6 +156,7 @@ func louvainLocal(w *mat.Dense) ([]int, bool) {
 	}
 	commDeg := mat.CopyVec(deg) // total degree per community
 	anyMoved := false
+	var cands []int // neighbouring communities of the node being moved
 	for iter := 0; iter < 50; iter++ {
 		movedThisIter := false
 		for i := 0; i < n; i++ {
@@ -172,8 +173,15 @@ func louvainLocal(w *mat.Dense) ([]int, bool) {
 			commDeg[old] -= deg[i]
 			bestComm, bestGain := old, 0.0
 			baseGain := toComm[old] - commDeg[old]*deg[i]/m2
-			for c, wic := range toComm {
-				gain := wic - commDeg[c]*deg[i]/m2
+			// Visit the candidates in ascending label order: gains within
+			// 1e-12 tie, and map order would break ties at random.
+			cands = cands[:0]
+			for c := range toComm {
+				cands = append(cands, c)
+			}
+			sort.Ints(cands)
+			for _, c := range cands {
+				gain := toComm[c] - commDeg[c]*deg[i]/m2
 				if gain-baseGain > bestGain+1e-12 {
 					bestGain = gain - baseGain
 					bestComm = c

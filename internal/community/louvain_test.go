@@ -287,3 +287,29 @@ func TestRefineByClassPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestLouvainTiesResolveDeterministically runs Louvain repeatedly on a ring
+// of equal weights, where every node's two neighbouring communities offer
+// the same gain. Ties must resolve the same way on every run (the lowest
+// community label wins), so the labels must not vary between runs.
+func TestLouvainTiesResolveDeterministically(t *testing.T) {
+	const n = 12
+	w := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		w.Set(i, j, 1)
+		w.Set(j, i, 1)
+	}
+	first := Louvain(w, 10)
+	for run := 1; run < 50; run++ {
+		p := Louvain(w, 10)
+		if p.Num != first.Num {
+			t.Fatalf("run %d: %d communities, first run %d", run, p.Num, first.Num)
+		}
+		for i := range p.Labels {
+			if p.Labels[i] != first.Labels[i] {
+				t.Fatalf("run %d: labels %v, first run %v", run, p.Labels, first.Labels)
+			}
+		}
+	}
+}

@@ -380,6 +380,13 @@ func (d *DSPU) annealLoop(st *InferState, sc *dscratch, sys ode.System) (*Result
 	for s := 0; s < steps; s++ {
 		t = sc.integ.Step(sys, t, d.cfg.Dt, x)
 		d.Net.ClampRails(x)
+		// A free voltage below mat.MinNormal is stored as 0; observations
+		// are never rewritten.
+		for i, c := range st.Clamped {
+			if !c && math.Abs(x[i]) < mat.MinNormal {
+				x[i] = 0
+			}
+		}
 		taken = s + 1
 		if st.Observer != nil {
 			st.Observer(StepInfo{Step: s, TimeNs: t, EnergyFn: st.EnergyFn, X: x})

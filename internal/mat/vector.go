@@ -66,6 +66,12 @@ func Clamp(x []float64, lo, hi float64) {
 	}
 }
 
+// MinNormal is the smallest positive normal float64, 2^-1022. The anneal
+// loops store a free node voltage of smaller magnitude as exactly 0, as the
+// analog hardware would: a subnormal voltage carries no information, and
+// every multiply that reads one takes the CPU's slow microcode path.
+const MinNormal = 0x1p-1022
+
 // Mean returns the arithmetic mean of x (0 for empty input).
 func Mean(x []float64) float64 {
 	if len(x) == 0 {

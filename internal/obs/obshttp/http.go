@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"dsgl/internal/obs"
 )
@@ -50,6 +51,12 @@ func Handler(r *obs.Registry) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a client that stalls mid-header cannot hold a connection
+// open forever. There is no read or write timeout: a CPU profile or an
+// execution trace legitimately streams for as long as it was asked to.
+const readHeaderTimeout = 5 * time.Second
+
 // Serve listens on addr (e.g. ":9137" or "127.0.0.1:0") and serves
 // Handler(r) in a background goroutine. It returns the bound address
 // (useful with port 0) and a shutdown func. The server is best-effort
@@ -59,7 +66,7 @@ func Serve(addr string, r *obs.Registry) (bound string, shutdown func(), err err
 	if err != nil {
 		return "", nil, fmt.Errorf("obs listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(r)}
+	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

@@ -3,10 +3,12 @@ package obshttp
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dsgl/internal/obs"
 )
@@ -94,5 +96,34 @@ func TestServeRoundTrip(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(body), "dsgl_http_serve_total 1") {
 		t.Errorf("served exposition missing counter:\n%s", body)
+	}
+}
+
+// TestServeDropsStalledHeader: a client that sends half a request header
+// and stalls is disconnected once readHeaderTimeout passes.
+func TestServeDropsStalledHeader(t *testing.T) {
+	t.Parallel()
+	addr, shutdown, err := Serve("127.0.0.1:0", obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+	if took := time.Since(start); took < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", took)
 	}
 }

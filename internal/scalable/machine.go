@@ -508,8 +508,14 @@ func (m *Machine) inferNaive(st *InferState) (*Result, error) {
 				maxD = a
 			}
 		}
+		// A free voltage below mat.MinNormal is stored as 0. The rail clamp
+		// that follows cannot move a value that small, so flushing first is
+		// the same as flushing after it.
 		for i := 0; i < m.N; i++ {
 			x[i] += m.cfg.Dt * deriv[i]
+			if !clamped[i] && math.Abs(x[i]) < mat.MinNormal {
+				x[i] = 0
+			}
 		}
 		mat.Clamp(x, -m.cfg.VRail, m.cfg.VRail)
 		annealT += m.cfg.Dt

@@ -39,6 +39,14 @@
 //     refresh would be observable, since a-c+c need not round-trip to a.
 //   - noise draws happen per free node in ascending order in both paths,
 //     so the RNG streams stay aligned.
+//   - a free node's voltage of magnitude below mat.MinNormal is stored as
+//     exactly 0 right after the rail clamp, in every loop (naive, planned,
+//     sharded). The rule is i-local and reads only x[i], so it cannot make
+//     the paths differ, and it never touches a clamped node. It exists for
+//     input nodes: their coupling rows are empty, so when a sliding stream
+//     mask leaves one free its voltage only decays, and it would otherwise
+//     stop at a subnormal (~±2e-323) that every coupling reading it pays
+//     the CPU's slow path to multiply.
 package scalable
 
 import (
@@ -272,15 +280,18 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 				maxD = a
 			}
 		}
-		// Fused update+rail-clamp per free node; i-local, so identical to
-		// the naive full-vector update followed by mat.Clamp. Clamped
-		// nodes never move (their observation already respects the rail).
+		// Fused update+rail-clamp+subnormal flush per free node; i-local,
+		// so identical to the naive full-vector update and flush followed
+		// by mat.Clamp. Clamped nodes never move (their observation
+		// already respects the rail).
+		// Both tests read |xi|, so the flush costs the common path one
+		// abs and no extra comparison over a two-sided rail check.
 		for _, i := range free {
 			xi := x[i] + m.cfg.Dt*deriv[i]
-			if xi < -m.cfg.VRail {
-				xi = -m.cfg.VRail
-			} else if xi > m.cfg.VRail {
-				xi = m.cfg.VRail
+			if a := math.Abs(xi); a > m.cfg.VRail {
+				xi = math.Copysign(m.cfg.VRail, xi)
+			} else if a < mat.MinNormal {
+				xi = 0
 			}
 			x[i] = xi
 		}

@@ -261,10 +261,10 @@ func (m *Machine) runSharded(st *InferState, pl *shardPlan) (*Result, error) {
 					}
 					for _, i := range free {
 						xi := view[i] + dt*dv[i]
-						if xi < -rail {
-							xi = -rail
-						} else if xi > rail {
-							xi = rail
+						if a := math.Abs(xi); a > rail {
+							xi = math.Copysign(rail, xi)
+						} else if a < mat.MinNormal {
+							xi = 0
 						}
 						view[i] = xi
 					}

@@ -154,6 +154,12 @@ func (s *Server) QueueDepth() int {
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a client that stalls mid-header cannot hold a connection
+// open forever. There is no read or write timeout: a long anneal or a
+// stream session may legitimately keep a request busy for minutes.
+const readHeaderTimeout = 5 * time.Second
+
 // Start listens on addr and serves in a background goroutine, returning
 // the bound address (useful with ":0").
 func (s *Server) Start(addr string) (string, error) {
@@ -162,7 +168,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = s.httpSrv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -526,5 +528,35 @@ func TestGroupKey(t *testing.T) {
 	}
 	if groupKey("m", a, 16) != groupKey("m", []engine.Observation{{Index: 5}, {Index: 0}}, 16) {
 		t.Fatal("observation order changed the key")
+	}
+}
+
+// TestStartDropsStalledHeader: a client that sends half a request header
+// and stalls is disconnected once readHeaderTimeout passes.
+func TestStartDropsStalledHeader(t *testing.T) {
+	t.Parallel()
+	s := New(testRegistry(t), Config{BatchWindow: -1})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer s.Drain()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+	if took := time.Since(start); took < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", took)
 	}
 }
