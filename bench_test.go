@@ -655,15 +655,20 @@ func benchBatchSetup(b testing.TB, lanes int) (*scalable.Machine, [][]scalable.O
 // BenchmarkInferBatch sweeps the worker pool over a 32-window batch in both
 // co-annealing modes. Results are bit-identical across worker counts (each
 // window's anneal is seeded by its index), so the sweep isolates scheduling
-// cost against parallel speedup.
+// cost against parallel speedup. The sweep is 1, 4 and GOMAXPROCS, the last
+// only when it is neither of the others, so every row name is unique (a
+// repeated count would print as a "#01" duplicate row).
 func BenchmarkInferBatch(b *testing.B) {
-	nproc := runtime.GOMAXPROCS(0)
+	sweep := []int{1, 4}
+	if nproc := runtime.GOMAXPROCS(0); nproc != 1 && nproc != 4 {
+		sweep = append(sweep, nproc)
+	}
 	for _, mode := range []struct {
 		name  string
 		lanes int
 	}{{"spatial", 30}, {"temporal", 6}} {
 		m, obs := benchBatchSetup(b, mode.lanes)
-		for _, workers := range []int{1, 4, nproc} {
+		for _, workers := range sweep {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -678,11 +683,29 @@ func BenchmarkInferBatch(b *testing.B) {
 	}
 }
 
+// reportSteps adds the per-step figures to an inference benchmark: steps/op
+// from the summed Result.Steps, and the timed wall cost per step and per
+// realized coupling per step (nnz = intra-PE plus inter-PE couplings). An
+// ns/op gap at equal steps/op is per-step cost, not convergence.
+func reportSteps(b *testing.B, m *scalable.Machine, steps int) {
+	if steps == 0 {
+		return
+	}
+	st := m.Stats()
+	nsPerStep := float64(b.Elapsed().Nanoseconds()) / float64(steps)
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	b.ReportMetric(nsPerStep, "ns/step")
+	if nnz := st.IntraCouplings + st.InterCouplings; nnz > 0 {
+		b.ReportMetric(nsPerStep/float64(nnz), "ns/nnz-step")
+	}
+}
+
 // BenchmarkInferWith is the steady-state single inference through a reused
 // arena running the NAIVE reference loop (InferWithNaive) — every coupling
 // matrix re-evaluated in full every step, exactly what InferWith did before
 // clamp plans. It is the baseline BenchmarkInferPlan is measured against;
-// allocs/op must report 0 (enforced by TestInferNaiveZeroAlloc).
+// allocs/op must report 0 (enforced by TestInferNaiveZeroAlloc). It and
+// BenchmarkInferPlan report steps/op, ns/step and ns/nnz-step (reportSteps).
 func BenchmarkInferWith(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -694,13 +717,18 @@ func BenchmarkInferWith(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(mode.name, func(b *testing.B) {
+			steps := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.InferWithNaive(st, obs[0], uint64(i)); err != nil {
+				res, err := m.InferWithNaive(st, obs[0], uint64(i))
+				if err != nil {
 					b.Fatal(err)
 				}
+				steps += res.Steps
 			}
+			b.StopTimer()
+			reportSteps(b, m, steps)
 		})
 	}
 }
@@ -723,14 +751,18 @@ func BenchmarkInferPlan(b *testing.B) {
 		}
 		b.Run(mode.name, func(b *testing.B) {
 			h0, m0 := m.PlanCacheStats()
+			steps := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.InferWith(st, obs[0], uint64(i)); err != nil {
+				res, err := m.InferWith(st, obs[0], uint64(i))
+				if err != nil {
 					b.Fatal(err)
 				}
+				steps += res.Steps
 			}
 			b.StopTimer()
+			reportSteps(b, m, steps)
 			h1, m1 := m.PlanCacheStats()
 			if lookups := (h1 - h0) + (m1 - m0); lookups > 0 {
 				b.ReportMetric(float64(h1-h0)/float64(lookups), "plan-hit-rate")

@@ -149,11 +149,12 @@ func (ps *planSys) Dim() int { return ps.d.N }
 // Derivative implements ode.System: circuit.Network.Derivative with the
 // constant clamp currents re-emitted from the folded bias instead of
 // re-accumulated. Every floating-point operation on a free node's derivative
-// is the operation the raw network performs, in the same order.
+// is the operation the raw network performs, in the same order. Only the
+// free rows are evaluated; buf's clamped rows are never read.
 func (ps *planSys) Derivative(_ float64, x, dst []float64) {
 	nw := ps.d.Net
 	pl := ps.pl
-	pl.j.dyn.MulVecAdd(x, ps.bias, ps.buf)
+	pl.j.dyn.MulVecAddRows(pl.freeIdx, x, ps.bias, ps.buf)
 	noisy := nw.Noise.Enabled()
 	var cs, ns float64
 	if noisy {

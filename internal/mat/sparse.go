@@ -87,32 +87,44 @@ func (s *CSR) MulVec(x, y []float64) []float64 {
 // RowNNZ returns the number of stored entries in row i.
 func (s *CSR) RowNNZ(i int) int { return s.RowPtr[i+1] - s.RowPtr[i] }
 
-// MulVecAdd computes the fused y = add + s*x: each output element starts
-// from add[i] and accumulates the row's stored entries in order. Because the
-// accumulation literally begins at add[i] (no extra +0 when a row is empty),
-// composing a precomputed partial sum with the remaining entries is
-// bit-identical to summing the full row from zero — the property the
+// MulVecAddRows computes the fused y[i] = add[i] + (s*x)[i] for each row i
+// listed in rows, in list order, and leaves every other entry of y
+// untouched. Each listed row's accumulation starts literally at add[i] (no
+// extra +0 when the row is empty) and walks the row's stored entries in
+// order, so composing a precomputed partial sum with the remaining entries
+// is bit-identical to summing the full row from zero — the property the
 // clamp-plan compiler relies on when it folds constant clamp currents into a
-// per-row bias. y is reused when it has the right length and may alias add;
-// it must not alias x.
-func (s *CSR) MulVecAdd(x, add, y []float64) []float64 {
+// per-row bias. Listing only the free rows is what keeps a clamp plan's
+// per-step cost proportional to the nodes that actually move. y is reused
+// when it has the right length (a fresh y is zero outside rows) and may
+// alias add; it must not alias x.
+func (s *CSR) MulVecAddRows(rows []int, x, add, y []float64) []float64 {
 	if len(x) != s.Cols {
-		panic(fmt.Sprintf("mat: CSR MulVecAdd dimension mismatch: %d cols vs %d vec", s.Cols, len(x)))
+		panic(fmt.Sprintf("mat: CSR MulVecAddRows dimension mismatch: %d cols vs %d vec", s.Cols, len(x)))
 	}
 	if len(add) != s.Rows {
-		panic(fmt.Sprintf("mat: CSR MulVecAdd bias mismatch: %d rows vs %d bias", s.Rows, len(add)))
+		panic(fmt.Sprintf("mat: CSR MulVecAddRows bias mismatch: %d rows vs %d bias", s.Rows, len(add)))
 	}
 	if y == nil || len(y) != s.Rows {
 		y = make([]float64, s.Rows)
 	}
-	for i := 0; i < s.Rows; i++ {
-		sum := add[i]
-		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			sum += s.Val[p] * x[s.ColIdx[p]]
-		}
-		y[i] = sum
+	for _, i := range rows {
+		y[i] = s.RowSum(i, add[i], x)
 	}
 	return y
+}
+
+// RowSum returns start plus row i's stored entries times x, accumulated in
+// stored order beginning literally at start: an empty row returns start
+// itself, with no +0 added (which would turn -0 into +0). It is the one row
+// sum of every clamp-plan kernel, so a folded bias composed with the
+// remaining entries rounds exactly as the full row summed from zero. Small
+// enough to inline into the anneal loops.
+func (s *CSR) RowSum(i int, start float64, x []float64) float64 {
+	for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
+		start += s.Val[p] * x[s.ColIdx[p]]
+	}
+	return start
 }
 
 // SplitCols partitions s by a column mask into two matrices of the same

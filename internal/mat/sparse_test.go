@@ -239,18 +239,31 @@ func TestSplitColsMaskLengthPanics(t *testing.T) {
 	FromDense(NewDense(2, 3), 0).SplitCols([]bool{true})
 }
 
-// TestMulVecAdd is the table test of the fused bias+matvec kernel.
+// allRows lists rows 0..n-1.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// TestMulVecAdd is the table test of the fused bias+matvec kernel over a row
+// list. want holds every row's full value; rows (nil: all rows) selects which
+// ones the kernel must evaluate, and every other entry of y must keep its
+// previous bit pattern.
 func TestMulVecAdd(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		rows, cols int
-		data       []float64
-		x, add     []float64
-		want       []float64
+		name   string
+		r, c   int
+		data   []float64
+		x, add []float64
+		rows   []int
+		want   []float64
 	}{
 		{
 			name: "basic",
-			rows: 2, cols: 3,
+			r:    2, c: 3,
 			data: []float64{1, 0, 2, 0, -1, 0},
 			x:    []float64{1, 2, 3},
 			add:  []float64{10, 20},
@@ -258,7 +271,7 @@ func TestMulVecAdd(t *testing.T) {
 		},
 		{
 			name: "empty-rows-pass-bias-through",
-			rows: 3, cols: 2,
+			r:    3, c: 2,
 			data: []float64{0, 0, 1, 1, 0, 0},
 			x:    []float64{2, 3},
 			add:  []float64{-1, 0, 4},
@@ -266,7 +279,7 @@ func TestMulVecAdd(t *testing.T) {
 		},
 		{
 			name: "1x1",
-			rows: 1, cols: 1,
+			r:    1, c: 1,
 			data: []float64{2},
 			x:    []float64{3},
 			add:  []float64{1},
@@ -274,42 +287,109 @@ func TestMulVecAdd(t *testing.T) {
 		},
 		{
 			name: "all-empty",
-			rows: 2, cols: 2,
+			r:    2, c: 2,
 			data: []float64{0, 0, 0, 0},
 			x:    []float64{9, 9},
 			add:  []float64{1, 2},
 			want: []float64{1, 2},
 		},
+		{
+			name: "listed-rows-only",
+			r:    4, c: 3,
+			data: []float64{1, 2, 0, 0, 0, 3, -1, 0, 1, 0, 0, 0},
+			x:    []float64{1, 2, 3},
+			add:  []float64{0.5, 1, 2, -3},
+			rows: []int{2, 0, 3}, // list order is free; each row is i-local
+			want: []float64{5.5, 10, 4, -3},
+		},
+		{
+			name: "empty-list",
+			r:    2, c: 2,
+			data: []float64{1, 1, 1, 1},
+			x:    []float64{1, 1},
+			add:  []float64{1, 1},
+			rows: []int{},
+			want: []float64{3, 3},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := FromDense(NewDenseFrom(tc.rows, tc.cols, tc.data), 0)
-			got := s.MulVecAdd(tc.x, tc.add, nil)
+			s := FromDense(NewDenseFrom(tc.r, tc.c, tc.data), 0)
+			rows := tc.rows
+			if rows == nil {
+				rows = allRows(tc.r)
+			}
+			listed := make([]bool, tc.r)
+			for _, i := range rows {
+				listed[i] = true
+			}
+			full := s.MulVecAddRows(allRows(tc.r), tc.x, tc.add, nil)
 			for i := range tc.want {
-				if got[i] != tc.want[i] {
-					t.Fatalf("y[%d] = %g, want %g", i, got[i], tc.want[i])
+				if full[i] != tc.want[i] {
+					t.Fatalf("all rows: y[%d] = %g, want %g", i, full[i], tc.want[i])
 				}
 			}
-			// Reuse: a correctly-sized y must be written in place.
-			buf := make([]float64, tc.rows)
-			if out := s.MulVecAdd(tc.x, tc.add, buf); &out[0] != &buf[0] {
-				t.Fatal("MulVecAdd did not reuse the provided buffer")
+			// Listed rows are bit-equal to the full evaluation; the rest
+			// keep the sentinel. A correctly-sized y is written in place.
+			const sentinel = -12345.25
+			buf := make([]float64, tc.r)
+			for i := range buf {
+				buf[i] = sentinel
 			}
-			// Aliasing y == add is allowed.
+			if out := s.MulVecAddRows(rows, tc.x, tc.add, buf); &out[0] != &buf[0] {
+				t.Fatal("MulVecAddRows did not reuse the provided buffer")
+			}
+			for i := range buf {
+				want := full[i]
+				if !listed[i] {
+					want = sentinel
+				}
+				if math.Float64bits(buf[i]) != math.Float64bits(want) {
+					t.Fatalf("y[%d] = %g, want %g (listed %v)", i, buf[i], want, listed[i])
+				}
+			}
+			// Aliasing y == add is allowed: unlisted rows keep their bias.
 			aliased := append([]float64(nil), tc.add...)
-			s.MulVecAdd(tc.x, aliased, aliased)
-			for i := range tc.want {
-				if aliased[i] != tc.want[i] {
-					t.Fatalf("aliased y[%d] = %g, want %g", i, aliased[i], tc.want[i])
+			s.MulVecAddRows(rows, tc.x, aliased, aliased)
+			for i := range aliased {
+				want := full[i]
+				if !listed[i] {
+					want = tc.add[i]
+				}
+				if math.Float64bits(aliased[i]) != math.Float64bits(want) {
+					t.Fatalf("aliased y[%d] = %g, want %g", i, aliased[i], want)
 				}
 			}
 		})
 	}
 }
 
+// TestRowSum pins the row-sum start rule every clamp-plan kernel shares: an
+// empty row returns start itself (a -0 start stays -0; adding +0 would round
+// it to +0), and a stored row accumulates onto start in stored order.
+func TestRowSum(t *testing.T) {
+	s := FromDense(NewDenseFrom(2, 3, []float64{0, 0, 0, 1, 0, -2}), 0)
+	negZero := math.Copysign(0, -1)
+	if got := s.RowSum(0, negZero, []float64{5, 6, 7}); math.Float64bits(got) != math.Float64bits(negZero) {
+		t.Fatalf("empty row: RowSum(-0) = %g (bits %x), want -0", got, math.Float64bits(got))
+	}
+	x := []float64{0.1, 9, 0.7}
+	want := 0.2 // float64 arithmetic in stored order, not constant folding
+	want += 1 * x[0]
+	want += -2 * x[2]
+	if got := s.RowSum(1, 0.2, x); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("RowSum(1, 0.2) = %v, want %v", got, want)
+	}
+	if got, want := s.RowSum(1, 0, x), s.MulVec(x, nil)[1]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("RowSum(1, 0) = %v, want MulVec's %v", got, want)
+	}
+}
+
 // TestMulVecAddComposesWithSplitCols is the bit-identity property the clamp
 // plans rely on: for any matrix and mask, folding the masked columns into a
-// bias and fusing it back via MulVecAdd over rows whose free part is empty
-// reproduces MulVec's full-row sums exactly (not just approximately).
+// bias and fusing it back via MulVecAddRows over rows whose free part is
+// empty reproduces MulVec's full-row sums exactly (not just approximately).
+// The kernel walks a random row subset: a listed row with a zero bias is
+// MulVec's row bit for bit, and an unlisted row is never written.
 func TestMulVecAddComposesWithSplitCols(t *testing.T) {
 	f := func(seed int64) bool {
 		r := newTestRand(seed)
@@ -324,13 +404,31 @@ func TestMulVecAddComposesWithSplitCols(t *testing.T) {
 		for j := range mask {
 			mask[j] = r.next() < 0.5
 		}
+		var rows []int
+		listed := make([]bool, n)
+		for i := 0; i < n; i++ {
+			if r.next() < 0.6 {
+				rows = append(rows, i)
+				listed[i] = true
+			}
+		}
 		s := FromDense(m, 0)
 		free, clamp := s.SplitCols(mask)
 		x := randVec(r, n)
 		bias := clamp.MulVec(x, nil)
-		fused := free.MulVecAdd(x, bias, nil)
+		fused := free.MulVecAddRows(rows, x, bias, nil)
 		full := s.MulVec(x, nil)
+		fromZero := s.MulVecAddRows(rows, x, make([]float64, n), nil)
 		for i := 0; i < n; i++ {
+			if !listed[i] {
+				if fused[i] != 0 || fromZero[i] != 0 {
+					return false
+				}
+				continue
+			}
+			if math.Float64bits(fromZero[i]) != math.Float64bits(full[i]) {
+				return false
+			}
 			if free.RowNNZ(i) == 0 && fused[i] != full[i] {
 				// A fully-folded row must match bit for bit.
 				return false
@@ -361,7 +459,8 @@ func TestMulVecAddDimensionPanics(t *testing.T) {
 					t.Fatal("expected panic")
 				}
 			}()
-			s.MulVecAdd(tc.x, tc.add, nil)
+			// The dimensions are checked even when no row is listed.
+			s.MulVecAddRows(nil, tc.x, tc.add, nil)
 		})
 	}
 }

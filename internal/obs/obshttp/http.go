@@ -57,6 +57,17 @@ func Handler(r *obs.Registry) http.Handler {
 // execution trace legitimately streams for as long as it was asked to.
 const readHeaderTimeout = 5 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests before the server closes it; a scraper that comes back later
+// simply reconnects.
+const idleTimeout = 2 * time.Minute
+
+// newServer is the observability http.Server for h, with the header and
+// idle timeouts set.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Serve listens on addr (e.g. ":9137" or "127.0.0.1:0") and serves
 // Handler(r) in a background goroutine. It returns the bound address
 // (useful with port 0) and a shutdown func. The server is best-effort
@@ -66,7 +77,7 @@ func Serve(addr string, r *obs.Registry) (bound string, shutdown func(), err err
 	if err != nil {
 		return "", nil, fmt.Errorf("obs listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: readHeaderTimeout}
+	srv := newServer(Handler(r))
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

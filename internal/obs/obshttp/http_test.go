@@ -127,3 +127,16 @@ func TestServeDropsStalledHeader(t *testing.T) {
 		t.Fatalf("connection closed after %v, before the header timeout", took)
 	}
 }
+
+// TestServerTimeouts: the observability server closes idle keep-alive
+// connections and stalled headers, and sets no read or write timeout (a
+// CPU profile or trace streams for as long as it was asked to).
+func TestServerTimeouts(t *testing.T) {
+	h := newServer(http.NotFoundHandler())
+	if h.IdleTimeout != idleTimeout || h.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("idle %v header %v, want %v and %v", h.IdleTimeout, h.ReadHeaderTimeout, idleTimeout, readHeaderTimeout)
+	}
+	if h.ReadTimeout != 0 || h.WriteTimeout != 0 {
+		t.Fatalf("read %v write %v, want both unset", h.ReadTimeout, h.WriteTimeout)
+	}
+}

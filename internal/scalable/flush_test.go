@@ -54,18 +54,6 @@ func noFreeSubnormal(t *testing.T, label string, res *Result, clamped []bool) {
 	}
 }
 
-// sameResult is identicalResults plus the step count and residual.
-func sameResult(t *testing.T, label string, plan, naive *Result) {
-	t.Helper()
-	identicalResults(t, label, plan, naive)
-	if plan.Steps != naive.Steps {
-		t.Fatalf("%s: steps %d vs %d", label, plan.Steps, naive.Steps)
-	}
-	if math.Float64bits(plan.Residual) != math.Float64bits(naive.Residual) {
-		t.Fatalf("%s: residual %v vs %v", label, plan.Residual, naive.Residual)
-	}
-}
-
 func clampMask(n int, obs []Observation) []bool {
 	c := make([]bool, n)
 	for _, o := range obs {
@@ -97,7 +85,7 @@ func TestColdAnnealFlushesSubnormals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, "cold", plan, naive)
+		identicalResults(t, "cold", plan, naive)
 		for _, r := range []struct {
 			label string
 			res   *Result
@@ -152,7 +140,7 @@ func TestStreamTicksFlushSubnormals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, "warm tick", res, naive)
+			identicalResults(t, "warm tick", res, naive)
 		}
 		copy(prev, res.Voltage)
 	}

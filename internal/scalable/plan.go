@@ -12,8 +12,10 @@
 //     least one free column stays in the "dyn" matrix and is re-evaluated
 //     each step; a clamped row is dropped entirely (its output feeds a node
 //     whose derivative is pinned to zero);
-//   - the derivative, integration, and settle loops iterate a free-node
-//     index list instead of scanning and skipping the clamp mask.
+//   - every per-step loop — coupling rows, sample-and-hold refresh,
+//     derivative, integration, settle check — iterates a free-node index
+//     list; a clamped node's rows are never evaluated, so a step costs the
+//     free rows' nonzeros, not N rows.
 //
 // Plans are compiled on demand by the shared inference engine
 // (internal/engine), which caches them by packed clamp-mask key in a
@@ -31,9 +33,17 @@
 //   - a "static" row's folded bias is computed by the same
 //     start-at-zero, in-row-order accumulation the naive loop runs, so the
 //     hoisted value is the bit pattern the naive loop recomputes each step.
-//   - mat.CSR.MulVecAdd starts each row's accumulation literally at the
-//     bias (no spurious +0 terms), and the bias is exactly +0 for dyn rows,
-//     so the fused kernel reproduces both row classes' naive bit patterns.
+//   - every row sum on the plan path is mat.CSR.RowSum, which starts
+//     literally at the bias (no spurious +0 terms); the bias is exactly +0
+//     for dyn rows, so it reproduces both row classes' naive bit patterns.
+//     Only free rows are evaluated; a clamped row's buffer entries are never
+//     read.
+//   - the anneal step fuses the intra row sum, the live-slice refresh and
+//     the derivative into one pass over the free nodes, where the naive loop
+//     makes three passes over all of them. x is read-only during that pass
+//     (the update pass follows it) and every operation on node i reads x
+//     and writes only i-indexed state, so moving node i's operations next
+//     to each other changes no operand and no rounding.
 //   - the sample-and-hold interSum update keeps the naive two-op
 //     subtract-then-add sequence per refresh: skipping a "constant"
 //     refresh would be observable, since a-c+c need not round-trip to a.
@@ -171,21 +181,26 @@ func patchPlanMat(s *mat.CSR, prev planMat, colRows [][]int32, oldClamped, newCl
 	return planMat{static: static, dyn: dyn}
 }
 
-// refreshPhasePlanned is refreshPhase on the plan path: slice k's held
-// contribution is re-derived from the fresh state, but only the dyn rows are
-// actually re-accumulated — static rows re-emit their folded bias, which is
-// the bit pattern a full recompute would produce. The subtract/recompute/add
-// sequence on interSum is kept per free node because a-c+c need not
-// round-trip even when c is unchanged.
+// refreshRow is free node i's share of a slice refresh on the plan path: the
+// slice's held contribution is re-derived from the fresh state x, but only a
+// dyn row is actually re-accumulated — a static row re-emits its folded
+// bias, which is the bit pattern a full recompute would produce. The
+// subtract/recompute/add sequence on interSum is kept because a-c+c need not
+// round-trip even when c is unchanged. Writes only contrib[i] and
+// interSum[i].
+func refreshRow(i int, x []float64, dyn *mat.CSR, bias, contrib, interSum []float64) {
+	interSum[i] -= contrib[i]
+	sum := dyn.RowSum(i, bias[i], x)
+	contrib[i] = sum
+	interSum[i] += sum
+}
+
+// refreshPhasePlanned is refreshPhase on the plan path: slice k refreshed
+// for every free node in one pass.
 func refreshPhasePlanned(st *InferState, sc *scratch, pl *clampPlan, k int) {
-	contrib := sc.contrib[k]
-	interSum := sc.interSum
+	dyn, bias, contrib := pl.phases[k].dyn, sc.biasPhase[k], sc.contrib[k]
 	for _, i := range pl.freeIdx {
-		interSum[i] -= contrib[i]
-	}
-	pl.phases[k].dyn.MulVecAdd(st.X, sc.biasPhase[k], contrib)
-	for _, i := range pl.freeIdx {
-		interSum[i] += contrib[i]
+		refreshRow(i, st.X, dyn, bias, contrib, sc.interSum)
 	}
 }
 
@@ -211,7 +226,6 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 		pl.phases[k].static.MulVec(x, sc.biasPhase[k])
 	}
 
-	intraCur := sc.intraCur
 	deriv := sc.deriv
 	interSum := sc.interSum
 	for i := range interSum {
@@ -224,10 +238,9 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 		}
 	}
 	free := pl.freeIdx
-	pl.phases[0].dyn.MulVecAdd(x, sc.biasPhase[0], sc.contrib[0])
-	for _, i := range free {
-		interSum[i] += sc.contrib[0][i]
-	}
+	// Seeding slice 0 by a refresh subtracts its zero contribution first:
+	// +0 - +0 is +0, so interSum ends as the naive 0 + contrib.
+	refreshPhasePlanned(st, sc, pl, 0)
 	if st.WarmStart {
 		// Streaming warm tick: seed every held slice from the warm-start
 		// equilibrium up front instead of waiting for the rotation to
@@ -257,12 +270,16 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 	}
 	nextFine := 0 // earliest step for the next warm fine-grained check
 
+	intra, biasIntra := pl.intra.dyn, sc.biasIntra
 	for s := 0; s < steps; s++ {
-		pl.intra.dyn.MulVecAdd(x, sc.biasIntra, intraCur)
-		refreshPhasePlanned(st, sc, pl, phase)
+		// One pass per free node: intra row sum, live-slice refresh,
+		// derivative. x is only read here.
+		live, liveBias, liveContrib := pl.phases[phase].dyn, sc.biasPhase[phase], sc.contrib[phase]
 		maxD := 0.0
 		for _, i := range free {
-			cur := intraCur[i] + interSum[i]
+			intraSum := intra.RowSum(i, biasIntra[i], x)
+			refreshRow(i, x, live, liveBias, liveContrib, interSum)
+			cur := intraSum + interSum[i]
 			if noisy && m.cfg.CouplerNoise > 0 {
 				cur += r.NormScaled(0, m.cfg.CouplerNoise*couplerScale)
 			}
@@ -313,7 +330,7 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 		// reported Residual is bit-identical across the two paths.
 		if len(m.phases) == 1 {
 			if maxD < m.cfg.SettleTol {
-				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
+				lastResidual = m.planResidual(pl, sc, x)
 				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
 					settled = true
 					break
@@ -325,7 +342,7 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 			// fullResidual bit-for-bit, so warm naive and warm planned
 			// runs settle on the same step with the same residual.
 			if st.WarmStart && s >= nextFine && maxD < m.cfg.SettleTol {
-				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
+				lastResidual = m.planResidual(pl, sc, x)
 				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
 					settled = true
 					break
@@ -333,7 +350,7 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 				nextFine = s + warmFineBackoff
 			}
 			if s%checkEvery == checkEvery-1 {
-				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
+				lastResidual = m.planResidual(pl, sc, x)
 				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
 					settled = true
 					break
@@ -360,28 +377,21 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 }
 
 // planResidual is fullResidual on the plan path: the true max |dσ/dt| with
-// every coupling fresh, accumulated per free row with static rows re-emitted
-// from their folded bias. Mirrors fullResidual's order exactly — intra row
-// first, then each slice's row sum added in slice order, each slice's
-// contribution accumulated from zero (the bias for dyn rows) and added to
-// the buffer in one operation (empty rows included: naive adds their zero
-// sum too, which rounds -0 to +0).
-func (m *Machine) planResidual(pl *clampPlan, sc *scratch, x, buf []float64) float64 {
-	pl.intra.dyn.MulVecAdd(x, sc.biasIntra, buf)
-	for k := range pl.phases {
-		dyn := pl.phases[k].dyn
-		bias := sc.biasPhase[k]
-		for _, i := range pl.freeIdx {
-			sum := bias[i]
-			for p := dyn.RowPtr[i]; p < dyn.RowPtr[i+1]; p++ {
-				sum += dyn.Val[p] * x[dyn.ColIdx[p]]
-			}
-			buf[i] += sum
-		}
-	}
+// every coupling fresh, accumulated per free node with static rows
+// re-emitted from their folded bias. Each node's operations are
+// fullResidual's in the same order — intra row first, then each slice's row
+// sum added in slice order, each slice's contribution accumulated from zero
+// (the bias for dyn rows) and added in one operation (empty rows included:
+// naive adds their zero sum too, which rounds -0 to +0) — so fusing the
+// passes per node changes no rounding.
+func (m *Machine) planResidual(pl *clampPlan, sc *scratch, x []float64) float64 {
 	maxD := 0.0
 	for _, i := range pl.freeIdx {
-		d := buf[i] + m.params.H[i]*x[i]
+		cur := pl.intra.dyn.RowSum(i, sc.biasIntra[i], x)
+		for k := range pl.phases {
+			cur += pl.phases[k].dyn.RowSum(i, sc.biasPhase[k][i], x)
+		}
+		d := cur + m.params.H[i]*x[i]
 		if x[i] >= m.cfg.VRail && d > 0 {
 			d = 0
 		} else if x[i] <= -m.cfg.VRail && d < 0 {

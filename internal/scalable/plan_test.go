@@ -8,9 +8,10 @@ import (
 	"dsgl/internal/engine"
 )
 
-// identicalResults compares two Results bit-for-bit: every float field and
-// every voltage must carry the same IEEE-754 bit pattern, not merely compare
-// equal. This is the strongest form of the plan-naive-identity contract.
+// identicalResults compares every field of two Results: every float field
+// and every voltage must carry the same IEEE-754 bit pattern, not merely
+// compare equal, and Steps, Switches and Settled must match. This is the
+// strongest form of the plan-naive-identity contract.
 func identicalResults(t *testing.T, label string, plan, naive *Result) {
 	t.Helper()
 	if len(plan.Voltage) != len(naive.Voltage) {
@@ -37,6 +38,12 @@ func identicalResults(t *testing.T, label string, plan, naive *Result) {
 	}
 	if plan.Switches != naive.Switches {
 		t.Fatalf("%s: switches %d vs %d", label, plan.Switches, naive.Switches)
+	}
+	if plan.Steps != naive.Steps {
+		t.Fatalf("%s: steps %d vs %d", label, plan.Steps, naive.Steps)
+	}
+	if math.Float64bits(plan.Residual) != math.Float64bits(naive.Residual) {
+		t.Fatalf("%s: residual %v vs %v", label, plan.Residual, naive.Residual)
 	}
 }
 

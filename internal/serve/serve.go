@@ -160,6 +160,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // stream session may legitimately keep a request busy for minutes.
 const readHeaderTimeout = 5 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests before the server closes it, so idle clients cannot pin
+// connections (and their goroutines) forever. A client that comes back
+// later simply reconnects.
+const idleTimeout = 2 * time.Minute
+
 // Start listens on addr and serves in a background goroutine, returning
 // the bound address (useful with ":0").
 func (s *Server) Start(addr string) (string, error) {
@@ -168,7 +174,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = s.httpSrv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

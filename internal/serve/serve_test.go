@@ -560,3 +560,21 @@ func TestStartDropsStalledHeader(t *testing.T) {
 		t.Fatalf("connection closed after %v, before the header timeout", took)
 	}
 }
+
+// TestStartSetsServerTimeouts: dsgld's http.Server closes idle keep-alive
+// connections and stalled headers, and sets no read or write timeout (a
+// long anneal or a stream session may keep a request busy for minutes).
+func TestStartSetsServerTimeouts(t *testing.T) {
+	s := New(testRegistry(t), Config{BatchWindow: -1})
+	if _, err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer s.Drain()
+	h := s.httpSrv
+	if h.IdleTimeout != idleTimeout || h.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("idle %v header %v, want %v and %v", h.IdleTimeout, h.ReadHeaderTimeout, idleTimeout, readHeaderTimeout)
+	}
+	if h.ReadTimeout != 0 || h.WriteTimeout != 0 {
+		t.Fatalf("read %v write %v, want both unset", h.ReadTimeout, h.WriteTimeout)
+	}
+}
